@@ -22,7 +22,7 @@ from tracing import LAYERS, layer_totals
 #: Spans reported as self milliseconds per ask.
 PER_ASK = ("storage.execute", "semql.synthesize", "qa.route", "qa.execute",
            "qa.tableqa", "qa.textqa", "graphindex.bfs", "text.stem",
-           "slm.generate", "slm.embed", "serving.serve",
+           "slm.generate", "serving.serve",
            "resilience.invoke")
 
 #: Spans reported as self milliseconds per build event.
@@ -70,8 +70,8 @@ def per_layer(spans, build, traced, untraced, work: int) -> Metrics:
         span = spans.get(key)
         return span.counters.get(name, 0) if span is not None else 0
 
-    traced_samples = measure.combine([traced.calls])
-    untraced_samples = measure.combine([untraced.calls])
+    traced_samples = measure.samples(measure.call_ms(traced.calls))
+    untraced_samples = measure.samples(measure.call_ms(untraced.calls))
     asks = len(traced_samples.ask_ms)
     writes = len(traced_samples.write_ms)
     out: Metrics = {}

@@ -6,7 +6,7 @@ every formula on synthetic inputs.
 
 import math
 import random
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 def nearest_rank(samples: Sequence[float], pct: float) -> float:
@@ -55,32 +55,33 @@ class Samples(NamedTuple):
         return len(self.ask_ms) / self.wall_s if self.wall_s else 0.0
 
 
-def combine(replays: Sequence[Sequence[tuple]]) -> Samples:
-    """Latency samples of several replays taken together.
+def call_ms(calls: Sequence[Tuple[int, int, float, float]],
+            scale: Optional[Callable[[float, float], float]] = None
+            ) -> List[Tuple[int, int, float]]:
+    """``(asks, writes, ms)`` of ``(asks, writes, start_s, end_s)`` calls.
 
-    Each replay is a list of ``(asks, writes, ms, key)`` calls. A call
-    with a key repeats the same request in every replay, and only its
-    best time is kept. A call without a key counts every time it ran.
-    Every ask and write of a kept call is charged the call's time, and
-    the wall time is the sum of the kept calls' times.
+    With ``scale``, each duration is multiplied by ``scale(start, end)``.
     """
-    kept: List[Tuple[int, int, float]] = []
-    best: dict = {}
-    for calls in replays:
-        for asks, writes, ms, key in calls:
-            if key is None:
-                kept.append((asks, writes, ms))
-            elif key not in best or ms < best[key][2]:
-                best[key] = (asks, writes, ms)
-    kept.extend(best.values())
+    return [(asks, writes, (end - start) * 1e3
+             * (scale(start, end) if scale is not None else 1.0))
+            for asks, writes, start, end in calls]
+
+
+def samples(calls: Sequence[Tuple[int, int, float]]) -> Samples:
+    """Latency samples of ``(asks, writes, ms)`` calls, of one replay or
+    of several taken together.
+
+    Every ask and write of a call is charged the call's time, and the
+    wall time is the sum of the calls' times.
+    """
     ask_ms: List[float] = []
     write_ms: List[float] = []
-    for asks, writes, ms in kept:
+    for asks, writes, ms in calls:
         ask_ms.extend([ms] * asks)
         write_ms.extend([ms] * writes)
     if not ask_ms:
-        raise ValueError("replays hold no asks")
-    return Samples(ask_ms, write_ms, sum(ms for _, _, ms in kept) / 1e3)
+        raise ValueError("the calls hold no asks")
+    return Samples(ask_ms, write_ms, sum(ms for _, _, ms in calls) / 1e3)
 
 
 def zipf_counts(n: int, skew: float, total: int) -> List[int]:
@@ -142,6 +143,11 @@ class Failures:
         bad = raised or detail.startswith("write failed")
         self.failed += bad
         return bad
+
+    def absorb(self, other: "Failures") -> None:
+        """Count another tally's operations as this one's."""
+        self.attempted += other.attempted
+        self.failed += other.failed
 
     @property
     def rate(self) -> float:

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import layers
 import measure
+import speed
 from tracing import Tracer, layer_totals
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
@@ -74,28 +75,116 @@ class NearestRankTest(unittest.TestCase):
         self.assertIsNone(measure.tail_percentile(writes[:20], 50))
 
 
-class CombineTest(unittest.TestCase):
-    def test_unkeyed_calls_all_count(self):
-        first = [(1, 0, 5.0, None), (8, 0, 2.0, None), (0, 1, 30.0, None)]
-        second = [(1, 0, 4.0, None)]
-        samples = measure.combine([first, second])
+class SamplesTest(unittest.TestCase):
+    def test_every_ask_and_write_is_charged_its_call(self):
+        calls = [(1, 0, 5.0), (8, 0, 2.0), (0, 1, 30.0), (1, 0, 4.0)]
+        samples = measure.samples(calls)
         self.assertEqual(sorted(samples.ask_ms), [2.0] * 8 + [4.0, 5.0])
         self.assertEqual(samples.write_ms, [30.0])
         self.assertAlmostEqual(samples.wall_s, 0.041)
         self.assertAlmostEqual(samples.asks_per_s, 10 / 0.041)
 
-    def test_keyed_calls_keep_their_best(self):
-        first = [(1, 0, 5.0, "a"), (1, 0, 9.0, "b")]
-        second = [(1, 0, 7.0, "b"), (1, 0, 6.0, "a")]
-        samples = measure.combine([first, second])
-        self.assertEqual(sorted(samples.ask_ms), [5.0, 7.0])
-        self.assertAlmostEqual(samples.wall_s, 0.012)
-
     def test_needs_an_ask(self):
         with self.assertRaises(ValueError):
-            measure.combine([[(0, 1, 1.0, None)], []])
+            measure.samples([(0, 1, 1.0)])
         with self.assertRaises(ValueError):
-            measure.combine([])
+            measure.samples([])
+
+    def test_call_ms_scales_each_interval(self):
+        calls = [(1, 0, 10.0, 10.002), (8, 1, 20.0, 20.5)]
+        plain = measure.call_ms(calls)
+        self.assertEqual([c[:2] for c in plain], [(1, 0), (8, 1)])
+        self.assertAlmostEqual(plain[0][2], 2.0)
+        self.assertAlmostEqual(plain[1][2], 500.0)
+        scaled = measure.call_ms(calls, lambda start, end: start / 10.0)
+        self.assertAlmostEqual(scaled[0][2], 2.0)
+        self.assertAlmostEqual(scaled[1][2], 1000.0)
+
+
+class SpeedProbeTest(unittest.TestCase):
+    """The speed correction, driven by hand instead of by SIGALRM."""
+
+    def _probe(self, clock, durations):
+        durations = iter(durations)
+
+        def work():
+            clock.now += next(durations)
+
+        return speed.SpeedProbe(work=work, clock=clock)
+
+    def test_clock_stands_still_during_probes(self):
+        clock = FakeClock()
+        ref = speed.REFERENCE_S
+        probe = self._probe(clock, [ref, 2 * ref])
+        clock.now = 5.0
+        probe.sample()
+        self.assertAlmostEqual(probe.now(), 5.0)
+        clock.now += 0.25
+        probe.sample()
+        self.assertAlmostEqual(probe.now(), 5.25)
+        self.assertEqual(len(probe.times), 2)
+        self.assertAlmostEqual(probe.times[1], 5.25)
+        self.assertAlmostEqual(probe.speeds[0], 1.0)
+        self.assertAlmostEqual(probe.speeds[1], 0.5)
+        self.assertAlmostEqual(probe.mean_speed, 0.75)
+
+    def test_a_signal_during_a_probe_is_ignored(self):
+        clock = FakeClock()
+        probe = None
+
+        def work():
+            clock.now += speed.REFERENCE_S
+            probe.sample()  # as if SIGALRM arrived mid-probe
+
+        probe = speed.SpeedProbe(work=work, clock=clock)
+        clock.now = 1.0
+        probe.sample()
+        self.assertAlmostEqual(probe.now(), 1.0)
+        self.assertEqual(len(probe.speeds), 1)
+        self.assertAlmostEqual(probe.speeds[0], 1.0)
+
+    def test_scale_is_a_power_of_the_mean_speed_near_the_interval(self):
+        clock = FakeClock()
+        ref = speed.REFERENCE_S
+        # speeds 1, 0.5, 0.25, 1 at probe-free times 0, 1, 2, 10
+        probe = self._probe(clock, [ref, 2 * ref, 4 * ref, ref])
+        for gap in (0.0, 1.0, 1.0, 8.0):
+            clock.now += gap
+            probe.sample()
+        self.assertEqual(speed.WINDOW_S, 0.5)
+        power = speed.EXPONENT
+        self.assertAlmostEqual(probe.scale(0.9, 1.1), 0.5 ** power)
+        self.assertAlmostEqual(probe.scale(0.4, 1.7),
+                               ((1 + 0.5 + 0.25) / 3) ** power)
+        self.assertAlmostEqual(probe.scale(9.6, 9.7), 1.0)
+        with self.assertRaises(ValueError):
+            probe.scale(5.0, 6.0)
+
+    def test_gc_is_left_as_found(self):
+        import gc
+        clock = FakeClock()
+        probe = self._probe(clock, [speed.REFERENCE_S] * 2)
+        self.assertTrue(gc.isenabled())
+        probe.sample()
+        self.assertTrue(gc.isenabled())
+        gc.disable()
+        try:
+            probe.sample()
+            self.assertFalse(gc.isenabled())
+        finally:
+            gc.enable()
+
+    def test_signal_driven_probes_run(self):
+        import time
+        with speed.SpeedProbe(every_s=0.01) as probe:
+            deadline = time.perf_counter() + 0.2
+            while time.perf_counter() < deadline:
+                speed.probe_work()
+        taken = len(probe.speeds)
+        self.assertGreater(taken, 5)
+        time.sleep(0.05)
+        self.assertEqual(len(probe.speeds), taken)  # the timer stopped
+        self.assertTrue(all(value > 0 for value in probe.speeds))
 
 
 class ZipfTest(unittest.TestCase):
@@ -241,9 +330,9 @@ class OracleTest(unittest.TestCase):
 
 class PerLayerTest(unittest.TestCase):
     def test_reports_every_metric_without_a_server(self):
-        phase = SimpleNamespace(calls=[(2, 0, 1000.0, None)] * 2,
+        phase = SimpleNamespace(calls=[(2, 0, 0.0, 1.0)] * 2,
                                 stats_before={}, stats_after={})
-        untraced = SimpleNamespace(calls=[(4, 0, 1000.0, None)] * 2)
+        untraced = SimpleNamespace(calls=[(4, 0, 0.0, 1.0)] * 2)
         metrics = layers.per_layer({}, {}, phase, untraced, work=40)
         self.assertEqual(metrics["meter.work_per_ask"], (10.0, "count"))
         self.assertAlmostEqual(metrics["trace.overhead_pct"][0], 50.0)
@@ -263,15 +352,97 @@ class GoldOracleTest(unittest.TestCase):
         from workloads import AskCold, Phase
 
         workload = AskCold()
-        workload.pairs = [QAPair("What were Q1 sales?", "structured_agg",
+        workload.pool = [QAPair("What were Q1 sales?", "structured_agg",
                                  answer_value=120.0)]
         right = Phase(answers=[Answer(text="120", value=120.0)])
         wrong = Phase(answers=[Answer(text="121", value=121.0)])
-        workload.check(None, [0], right)
-        workload.check(None, [0], wrong)
+        workload.check(None, [0], right, None)
+        workload.check(None, [0], wrong, None)
         self.assertTrue(right.accuracy.perfect)
         self.assertFalse(wrong.accuracy.perfect)
         self.assertEqual(wrong.accuracy.mismatches, ["What were Q1 sales?"])
+
+
+@unittest.skipUnless(os.path.isdir(os.path.join(SRC, "repro")),
+                     "no source tree beside perfbench/")
+class ServePrimeTest(unittest.TestCase):
+    """serve-zipf's pre-roll plays the stream's last bursts and checks
+    their answers like the stream's."""
+
+    def test_preroll_plays_the_tail_and_is_checked(self):
+        sys.path.insert(0, SRC)
+        from repro.bench.datagen.queries import QAPair
+        from repro.qa.answer import Answer
+        from repro.serving import ServeResult
+        from workloads import GOVERNED_TENANT, OPEN_TENANT, ServeZipf
+
+        right = Answer(text="120", value=120.0)
+        wrong = Answer(text="121", value=121.0)
+        served = []
+
+        def serve(requests):
+            served.append([(r.payload["question"], r.tenant)
+                           for r in requests])
+            return [ServeResult(index=i, op="ask", session="s",
+                                answer=right if i == 0 else wrong)
+                    for i, _ in enumerate(requests)]
+
+        workload = ServeZipf()
+        workload.preroll_bursts = 2
+        workload.pool = [QAPair("What were Q1 sales?", "structured_agg",
+                                answer_value=120.0)]
+        stream = [[(0, OPEN_TENANT)], [(0, GOVERNED_TENANT)],
+                  [(0, OPEN_TENANT), (0, GOVERNED_TENANT)]]
+        expected = {(0, OPEN_TENANT): measure.fingerprint(right),
+                    (0, GOVERNED_TENANT): measure.fingerprint(right)}
+        primed = workload.prime(SimpleNamespace(serve=serve), stream,
+                                expected)
+        question = "What were Q1 sales?"
+        self.assertEqual(served, [[(question, GOVERNED_TENANT)],
+                                  [(question, OPEN_TENANT),
+                                   (question, GOVERNED_TENANT)]])
+        self.assertEqual((primed.accuracy.checked, primed.accuracy.matched),
+                         (3, 2))
+        self.assertEqual(primed.accuracy.mismatches,
+                         ["governed: What were Q1 sales?"])
+        self.assertEqual((primed.failures.attempted, primed.failures.failed),
+                         (3, 0))
+
+
+@unittest.skipUnless(os.path.isdir(os.path.join(SRC, "repro")),
+                     "no source tree beside perfbench/")
+class IngestOracleTest(unittest.TestCase):
+    """A stale answer inside a write window fails the ingest-mix check,
+    and the final pass's failures are counted."""
+
+    def test_stale_answer_and_final_failures(self):
+        sys.path.insert(0, SRC)
+        from repro.bench.datagen.queries import QAPair
+        from repro.qa.answer import Answer
+        from repro.serving import ServeResult
+        from workloads import IngestMix, Phase
+
+        fresh = Answer(text="fresh", value=2.0)
+        stale = Answer(text="stale", value=1.0)
+        abstained = Answer(text="", value=None, abstained=True)
+        server = SimpleNamespace(serve=lambda requests: [
+            ServeResult(index=i, op="ask", session="s", answer=abstained)
+            for i, _ in enumerate(requests)])
+        workload = IngestMix()
+        workload.pool = [QAPair("How many notes?", "structured_agg",
+                                answer_value=2.0)]
+        stream = [(("note-1", "text"), [[0, 0]])]
+        expected = ([measure.fingerprint(fresh)] * 2,
+                    [measure.fingerprint(fresh)])
+        phase = Phase(answers=[fresh, stale])
+        workload.check(server, stream, phase, expected)
+        self.assertEqual(phase.accuracy.checked, 3)
+        self.assertEqual(phase.accuracy.matched, 1)
+        self.assertEqual(phase.accuracy.mismatches,
+                         ["during stream: How many notes?",
+                          "after stream: How many notes?"])
+        self.assertEqual((phase.failures.attempted, phase.failures.failed),
+                         (1, 1))
 
 
 if __name__ == "__main__":
