@@ -32,6 +32,12 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
 
     Isolated nodes keep the teleport mass. Deterministic given the
     graph (iteration order is id-sorted).
+
+    The adjacency is read once per run through ``graph.neighbors`` and
+    every iteration walks that snapshot. Each iteration charges, in one
+    lump, the ``edges_traversed`` that re-reading the neighbors of
+    every node with out-weight would have cost, so the work clock is
+    the same as a per-iteration walk.
     """
     if not 0.0 < damping < 1.0:
         raise GraphIndexError("damping must be in (0, 1)")
@@ -40,26 +46,37 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
     if n == 0:
         return {}
     rank = {node_id: 1.0 / n for node_id in nodes}
-    out_weight: Dict[str, float] = {}
+    # (node, out-weight, [(neighbor, edge weight)]) for nodes with
+    # out-weight, in id order. Neighbors stay in neighbors()'s order:
+    # the float sums must run in that order for bit-stable scores.
+    sources = []
+    sinks = []
+    edges_per_iteration = 0
     for node_id in nodes:
         neighbors = graph.neighbors(node_id)
         if weight_by_edge:
-            out_weight[node_id] = sum(e.weight for e, _ in neighbors)
+            total_out = sum(e.weight for e, _ in neighbors)
         else:
-            out_weight[node_id] = float(len(neighbors))
+            total_out = float(len(neighbors))
+        if total_out == 0.0:
+            sinks.append(node_id)
+            continue
+        sources.append((node_id, total_out, [
+            (neighbor.node_id, edge.weight if weight_by_edge else 1.0)
+            for edge, neighbor in neighbors
+        ]))
+        edges_per_iteration += len(neighbors)
     teleport = (1.0 - damping) / n
     for _ in range(max_iterations):
+        graph.charge_traversal(edges_per_iteration)
         new_rank: Dict[str, float] = {node_id: teleport for node_id in nodes}
         dangling_mass = 0.0
-        for node_id in nodes:
-            total_out = out_weight[node_id]
-            if total_out == 0.0:
-                dangling_mass += rank[node_id]
-                continue
+        for node_id in sinks:
+            dangling_mass += rank[node_id]
+        for node_id, total_out, targets in sources:
             share = damping * rank[node_id] / total_out
-            for edge, neighbor in graph.neighbors(node_id):
-                w = edge.weight if weight_by_edge else 1.0
-                new_rank[neighbor.node_id] += share * w
+            for target, w in targets:
+                new_rank[target] += share * w
         if dangling_mass > 0.0:
             spread = damping * dangling_mass / n
             for node_id in nodes:

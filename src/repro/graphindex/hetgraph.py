@@ -109,6 +109,15 @@ class HeterogeneousGraph:
         out.sort(key=lambda pair: pair[1].node_id)
         return out
 
+    def charge_traversal(self, edges: int) -> None:
+        """Charge *edges* ``edges_traversed`` units in one lump.
+
+        For callers that walk a :meth:`neighbors` result more than once:
+        each replay costs what the repeated ``neighbors`` calls would.
+        """
+        if edges:
+            self._meter.charge(EDGES_TRAVERSED, edges)
+
     def degree(self, node_id: str,
                edge_kinds: Optional[Iterable[str]] = None) -> int:
         """Number of incident edges (optionally kind-filtered)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
 from ..obs import span
@@ -65,6 +65,20 @@ class BM25Retriever(Retriever):
         n = len(self._chunks)
         df = len(self._postings.get(term, ()))
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+    def term_overlap(self, terms: Iterable[str]) -> Dict[str, int]:
+        """Per chunk id, how many of the distinct *terms* its text holds.
+
+        *terms* are index terms (stopword-filtered Porter stems). The
+        count is read off the posting lists, so no chunk is re-tokenised
+        and nothing is charged; chunks sharing no term are absent.
+        """
+        self._check_ready(self._indexed)
+        overlap: Dict[str, int] = {}
+        for term in set(terms):
+            for chunk_id, _ in self._postings.get(term, ()):
+                overlap[chunk_id] = overlap.get(chunk_id, 0) + 1
+        return overlap
 
     def retrieve(self, query: str, k: int = 5) -> List[RetrievedChunk]:
         """Score only the chunks on the query terms' posting lists."""

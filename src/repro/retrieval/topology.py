@@ -9,8 +9,9 @@ Instead of embedding the whole corpus, the retriever:
 3. BFS-expands from the anchors over MENTIONS/RELATES/CO_OCCURS edges,
    collecting candidate chunk nodes within a hop budget;
 4. scores candidates by anchor coverage, hop distance, a precomputed
-   centrality prior (PageRank), and keyword overlap — "centrality and
-   connectivity" per the paper.
+   centrality prior (PageRank), and keyword overlap read off the BM25
+   fallback's posting lists — "centrality and connectivity" per the
+   paper.
 
 A BM25 fallback handles entity-free queries, so the retriever never
 returns nothing merely because tagging found no anchors.
@@ -187,6 +188,9 @@ class TopologyRetriever(Retriever):
         query_stems = {
             stem(w) for w in words(query) if w not in STOPWORDS
         }
+        # Keyword overlap comes from the BM25 postings, which hold every
+        # chunk's stems from index time: no chunk is re-stemmed here.
+        overlap = self._fallback.term_overlap(query_stems)
         scores: Dict[str, float] = {}
         components: Dict[str, Dict[str, float]] = {}
         for chunk_id, per_anchor in chunk_depths.items():
@@ -195,12 +199,8 @@ class TopologyRetriever(Retriever):
             min_depth = min(per_anchor.values())
             depth_score = 1.0 / (1.0 + min_depth)
             central = self._centrality.get("chunk:%s" % chunk_id, 0.0)
-            chunk_stems = {
-                stem(w) for w in words(self._chunks[chunk_id].text)
-                if w not in STOPWORDS
-            }
             lexical = (
-                len(chunk_stems & query_stems) / len(query_stems)
+                overlap.get(chunk_id, 0) / len(query_stems)
                 if query_stems else 0.0
             )
             parts = {

@@ -16,7 +16,7 @@ from ...errors import ExecutionError, PlanError
 from ...obs import span
 from ..types import sort_key
 from .expressions import (
-    BinaryOp, ColumnRef, Expression, FunctionCall, Literal,
+    BinaryOp, ColumnRef, Expression, FunctionCall, Literal, UnaryOp,
     predicate_matches,
 )
 from .planner import (
@@ -230,8 +230,27 @@ class Executor:
         for _, raw in table.scan_matching(test, equals=equals):
             yield self._row_dict(alias, cols, raw)
 
+    def _columns(self, node: PlanNode) -> List[str]:
+        """Qualified column names of the rows :meth:`_iter` yields.
+
+        Known from the plan alone, so LEFT JOIN pads unmatched rows with
+        every right-hand column even when the right input is empty.
+        """
+        if isinstance(node, (ScanNode, IndexScanNode)):
+            cols = self._table(node.table).schema.column_names()
+            return ["%s.%s" % (node.alias, col) for col in cols]
+        if isinstance(node, FilterNode):
+            return self._columns(node.child)
+        if isinstance(node, (NestedLoopJoinNode, HashJoinNode)):
+            # Joined rows are {**left, **right}: left keys keep their place.
+            return list(dict.fromkeys(
+                self._columns(node.left) + self._columns(node.right)
+            ))
+        raise PlanError("cannot iterate node %r" % node.label())
+
     def _nested_loop(self, node: NestedLoopJoinNode):
         right_rows = list(self._iter(node.right))
+        nulls = {k: None for k in self._columns(node.right)}
         for left_row in self._iter(node.left):
             matched = False
             for right_row in right_rows:
@@ -240,16 +259,12 @@ class Executor:
                     matched = True
                     yield combined
             if node.kind == "left" and not matched:
-                if right_rows:
-                    nulls = {k: None for k in right_rows[0]}
-                else:
-                    nulls = {}
                 yield {**left_row, **nulls}
 
     def _hash_join(self, node: HashJoinNode):
         build: Dict[Any, List[Dict[str, Any]]] = {}
         right_rows = list(self._iter(node.right))
-        right_keys: List[str] = list(right_rows[0].keys()) if right_rows else []
+        nulls = {k: None for k in self._columns(node.right)}
         for right_row in right_rows:
             key = node.right_key.evaluate(right_row)
             if key is None:
@@ -268,7 +283,7 @@ class Executor:
                 matched = True
                 yield combined
             if node.kind == "left" and not matched:
-                yield {**left_row, **{k: None for k in right_keys}}
+                yield {**left_row, **nulls}
 
     # ------------------------------------------------------------------
     def execute(self, node: PlanNode) -> ResultSet:
@@ -359,9 +374,14 @@ class Executor:
     def _aggregate(self, node: AggregateNode) -> ResultSet:
         groups: Dict[tuple, Dict[str, Any]] = {}
         aggs: Dict[tuple, List[_Aggregator]] = {}
-        agg_items = [
-            (i, item) for i, item in enumerate(node.items) if item.is_aggregate
-        ]
+        # Select-list aggregates first, then those only HAVING names.
+        calls = [item.expr for item in node.items if item.is_aggregate]
+        if node.having is not None:
+            known = {_having_key(call) for call in calls}
+            for call in _aggregate_calls(node.having):
+                if _having_key(call) not in known:
+                    known.add(_having_key(call))
+                    calls.append(call)
         saw_rows = False
         for row in self._iter(node.child):
             saw_rows = True
@@ -370,20 +390,20 @@ class Executor:
             )
             if key not in groups:
                 groups[key] = row
-                aggs[key] = [_Aggregator(item.expr) for _, item in agg_items]
-            for agg, (_, item) in zip(aggs[key], agg_items):
+                aggs[key] = [_Aggregator(call) for call in calls]
+            for agg in aggs[key]:
                 agg.update(row)
         if not node.group_by and not saw_rows:
             # Global aggregate over empty input still yields one row.
             groups[()] = {}
-            aggs[()] = [_Aggregator(item.expr) for _, item in agg_items]
+            aggs[()] = [_Aggregator(call) for call in calls]
 
         columns = [item.output_name() for item in node.items]
         rows_out: List[Tuple[Any, ...]] = []
         for key in groups:
             sample = groups[key]
             agg_values = [a.result() for a in aggs[key]]
-            agg_iter = iter(agg_values)
+            agg_iter = iter(agg_values)  # select-list aggregates lead
             out_row = []
             extended = dict(sample)
             for item in node.items:
@@ -394,28 +414,23 @@ class Executor:
                 out_row.append(value)
                 extended[item.output_name()] = value
             if node.having is not None:
-                if not self._having_matches(node.having, extended, sample,
-                                            aggs[key], agg_items):
+                if not self._having_matches(node.having, extended,
+                                            calls, agg_values):
                     continue
             rows_out.append(tuple(out_row))
         rows_out.sort(key=lambda r: tuple(sort_key(v) for v in r))
         return ResultSet(columns, rows_out)
 
     def _having_matches(self, having: Expression, extended: Dict[str, Any],
-                        sample: Dict[str, Any], aggregators, agg_items) -> bool:
-        # HAVING may reference aggregates directly (e.g. COUNT(*) > 2).
-        # Rewrite: evaluate by substituting aggregate results by sql text.
-        class _HavingContext(dict):
-            def __init__(self, base):
-                super().__init__(base)
-
-        ctx = _HavingContext(extended)
-        # Map each aggregate's canonical sql to its computed value.
-        for agg, (_, item) in zip(aggregators, agg_items):
-            ctx[item.expr.sql().lower().replace(" ", "")] = agg.result()
-
-        rewritten = _rewrite_having(having, ctx)
-        return predicate_matches(rewritten, ctx)
+                        calls: List[AggregateCall],
+                        values: List[Any]) -> bool:
+        # HAVING may reference aggregates directly (e.g. COUNT(*) > 2):
+        # each aggregate call becomes a column named by its canonical
+        # sql text, bound to the group's computed value.
+        ctx = dict(extended)
+        for call, value in zip(calls, values):
+            ctx[_having_key(call)] = value
+        return predicate_matches(_rewrite_having(having), ctx)
 
 
 def _conjuncts(expr: Expression, out: List[Expression]) -> None:
@@ -466,20 +481,33 @@ def _hinted_column(expr: Expression, alias: str,
     return name if name in cols else None
 
 
-def _rewrite_having(expr: Expression, ctx: Dict[str, Any]) -> Expression:
-    """Replace AggregateCall leaves with column refs into *ctx*."""
-    from .expressions import BinaryOp, UnaryOp
-    from .sql_parser import AggregateCall as _AC
+def _having_key(call: AggregateCall) -> str:
+    """The column name HAVING evaluation binds an aggregate call to."""
+    return call.sql().lower().replace(" ", "")
 
-    if isinstance(expr, _AC):
-        return ColumnRef(expr.sql().lower().replace(" ", ""))
+
+def _aggregate_calls(expr: Expression) -> List[AggregateCall]:
+    """AggregateCall leaves of *expr*, in the order they appear."""
+    if isinstance(expr, AggregateCall):
+        return [expr]
+    if isinstance(expr, BinaryOp):
+        return _aggregate_calls(expr.left) + _aggregate_calls(expr.right)
+    if isinstance(expr, UnaryOp):
+        return _aggregate_calls(expr.operand)
+    return []
+
+
+def _rewrite_having(expr: Expression) -> Expression:
+    """Replace AggregateCall leaves with column refs named by sql text."""
+    if isinstance(expr, AggregateCall):
+        return ColumnRef(_having_key(expr))
     if isinstance(expr, BinaryOp):
         return BinaryOp(
-            expr.op, _rewrite_having(expr.left, ctx),
-            _rewrite_having(expr.right, ctx),
+            expr.op, _rewrite_having(expr.left),
+            _rewrite_having(expr.right),
         )
     if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _rewrite_having(expr.operand, ctx))
+        return UnaryOp(expr.op, _rewrite_having(expr.operand))
     return expr
 
 

@@ -3,9 +3,15 @@
 Implemented from the original paper's rule tables so that term matching
 in BM25 and the lexical answer-equivalence baseline does not depend on
 external NLP packages.
+
+:func:`stem` is pure and sees the same small vocabulary over and over
+(routing, the schema catalog, intents, the generator and the BM25
+index all stem the lake's words), so it is memoised in a bounded LRU.
 """
 
 from __future__ import annotations
+
+import functools
 
 _VOWELS = "aeiou"
 
@@ -84,6 +90,13 @@ _STEP4_SUFFIXES = [
 ]
 
 
+#: Distinct words :func:`stem` remembers. A 120-product e-commerce lake
+#: and its 152 benchmark questions stem 263 distinct words, so the bound
+#: only bites on open-vocabulary text, where it caps the memory held.
+STEM_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
     """Return the Porter stem of *word* (expects lowercase ASCII).
 
